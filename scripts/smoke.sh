@@ -5,7 +5,9 @@
 #      installs keep working.
 #   2. The parallel-analysis worker-invariance contract must hold through a
 #      real n_workers=2 process pool (EnSF member-seeded executor and the
-#      column-sharded LETKF), so CI always exercises the pool path.
+#      column-sharded LETKF), so CI always exercises the pool path; the same
+#      pool must cap each worker's OpenBLAS threads at its share of the CPUs
+#      (persistent, per-call and crash-rebuilt pools).
 #   3. The backend-parametrized kernel-equivalence suite must pass with the
 #      array backend forced to ``mock-device`` via the environment variable
 #      (proving both the env-var precedence path and the transfer-metered
@@ -73,8 +75,9 @@ if rc != 0:
 print("collection OK without scipy")
 EOF
 
-echo "== smoke 2/9: parallel-analysis worker invariance (n_workers=2 pool) =="
-python -m pytest -x -q tests/unit/test_hpc.py::TestParallelAnalysis
+echo "== smoke 2/9: parallel-analysis worker invariance + BLAS cap (n_workers=2 pool) =="
+python -m pytest -x -q tests/unit/test_hpc.py::TestParallelAnalysis \
+    tests/unit/test_hpc.py::TestWorkerBlasThreads
 
 echo "== smoke 3/9: backend suite under REPRO_ARRAY_BACKEND=mock-device =="
 # Prove the env-var resolution path itself in a fresh process (the

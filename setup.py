@@ -1,9 +1,10 @@
 """Setuptools shim.
 
-The project metadata lives in ``pyproject.toml``.  This file exists so that
-``pip install -e .`` works in fully offline environments where the ``wheel``
-package (needed for PEP 517 editable builds) may not be available: pip then
-falls back to the legacy ``setup.py develop`` code path.
+The project metadata lives in ``pyproject.toml``.  ``pip install -e .``
+needs the ``wheel`` package for its PEP 517 editable build (pip 23 no longer
+falls back to the legacy path without it).  This file keeps
+``python setup.py develop`` working as the offline editable install where
+``wheel`` is not available.
 """
 
 from setuptools import setup

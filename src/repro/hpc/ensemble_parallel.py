@@ -74,6 +74,51 @@ def _guarded_call(fn, job, fault, parent_pid: int):
     return fn(resolve_payloads(job))
 
 
+# OpenBLAS's runtime thread setters: numpy's ILP64 build, scipy's build and a
+# plain system build.  Each mapped library exports at most one of them.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+)
+
+
+def _openblas_libraries() -> list[str]:
+    """Paths of the OpenBLAS shared libraries mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            return sorted(
+                {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+            )
+    except OSError:
+        return []
+
+
+def _cap_blas_threads(workers: int) -> None:
+    """Pool initializer: cap every mapped OpenBLAS at one worker's CPU share.
+
+    The share is ``max(1, cpus // workers)`` over the CPUs this process may
+    run on, so a ``workers``-process pool uses the CPUs once, not once per
+    process.
+    Workers fork after numpy has loaded OpenBLAS, so a thread-count variable
+    set here would come too late; the runtime setter does not.  Uncapped,
+    each worker keeps the parent's BLAS thread count and a 2-worker pool
+    runs three processes' worth of BLAS threads on the same CPUs.  No
+    OpenBLAS found (always the case without ``/proc``) is a no-op, and
+    nothing here raises: a failing initializer would break the pool.
+    """
+    import ctypes
+
+    for path in _openblas_libraries():
+        try:
+            lib = ctypes.CDLL(path)
+            setter = next((getattr(lib, n) for n in _OPENBLAS_SETTERS if hasattr(lib, n)), None)
+            if setter is not None:
+                setter(max(1, len(os.sched_getaffinity(0)) // workers))
+        except Exception:
+            pass
+
+
 def ensemble_slices(n_members: int, n_workers: int) -> list[slice]:
     """Split ``n_members`` into ``n_workers`` contiguous, near-equal slices.
 
@@ -384,13 +429,20 @@ class EnsembleExecutor:
                 faults[target] = event
         return faults
 
+    @staticmethod
+    def _new_pool(workers: int) -> ProcessPoolExecutor:
+        """A pool whose workers each get one share of the CPUs for BLAS."""
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_cap_blas_threads, initargs=(workers,)
+        )
+
     def _acquire_pool(self, workers: int) -> ProcessPoolExecutor:
         if not self.reuse_pool:
-            return ProcessPoolExecutor(max_workers=workers)
+            return self._new_pool(workers)
         with self._pool_lock:
             if self._pool is None or self._pool_workers < workers:
                 self._close_pool()
-                self._pool = ProcessPoolExecutor(max_workers=workers)
+                self._pool = self._new_pool(workers)
                 self._pool_workers = workers
             return self._pool
 

@@ -7,24 +7,33 @@ kernel benchmarks.
 
 ``BENCH_*.json`` format
 -----------------------
-The benchmark entry points (``benchmarks/run_all.py`` and the
-``pytest -m bench`` suite) persist speedup records as JSON files at the
-repository root.  Each file is a single object::
+The benchmark suite (``benchmarks/run_all.py`` or ``pytest -m bench``)
+writes one JSON object per file at the repository root through
+:meth:`BenchRecorder.write_json`::
 
     {
-      "benchmark": "<name>",                  # e.g. "analysis-kernels"
-      "created_unix": <float seconds>,        # stamp of the recording run
-      "<section>": {                          # one object per measured case
-        "...case metadata...": ...,           # grid, members, config, ...
-        "reference_s": <float>,               # reference-path wall time
-        "optimized_s": <float>,               # new-kernel wall time
-        "speedup": <float>                    # reference_s / optimized_s
+      "benchmark": "<name>",           # e.g. "analysis-kernels"
+      "created_unix": <float seconds>, # stamp of the recording run
+      "array_backend": "<name>",       # backend the kernels ran on
+      "sections": {                    # BenchRecorder.report(): one per
+        "<section>": {                 # timed section
+          "total_s": <float>, "mean_s": <float>, "count": <int>,
+          "per_cycle_s": [<float>, ...]
+        }, ...
       },
-      ...
+      "<entry>": {                     # one object (or list) per measured
+        "...case metadata...": ...,    # case: grid, members, config, ...
+        "<path>_s": <float>,           # wall times of the compared paths
+        "<ratio>": <float>,            # BenchRecorder.speedup ratios, e.g.
+                                       # "batching_speedup"
+        "note": "<text>"               # what the numbers show, and why
+      }, ...
     }
 
-Additional keys inside a section are free-form metadata (accuracy parity
-deltas, per-cycle breakdowns from :meth:`BenchRecorder.report`, etc.).
+Entry names, their timing keys and which entries carry a ``note`` or
+``speedup_note`` are fixed per file; ``scripts/smoke.sh`` (step 5) checks
+that every required key is present, that each named note is a non-empty
+string, and that a recorded ``array_backend`` is non-empty.
 """
 
 from __future__ import annotations

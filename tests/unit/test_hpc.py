@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.hpc import ensemble_parallel
 from repro.hpc.collectives import CollectiveKind, CollectiveModel
 from repro.hpc.comm import LocalCommGroup
 from repro.hpc.ddp import DataParallel, bucketize
@@ -735,6 +736,71 @@ class TestParallelAnalysis:
         np.testing.assert_allclose(
             parallel.analysis_rmse, serial.analysis_rmse, atol=1e-11
         )
+
+
+# OpenBLAS's runtime thread getters, matching the executor's setters.
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads",
+)
+
+
+def _blas_threads(_job=None):
+    """Report (pid, thread count of every mapped OpenBLAS) of this process."""
+    import ctypes
+
+    counts = []
+    for path in ensemble_parallel._openblas_libraries():
+        lib = ctypes.CDLL(path)
+        getter = next((getattr(lib, n) for n in _OPENBLAS_GETTERS if hasattr(lib, n)), None)
+        if getter is not None:
+            counts.append(int(getter()))
+    return os.getpid(), counts
+
+
+class TestWorkerBlasThreads:
+    """Every pool worker runs OpenBLAS on one share of the CPUs, so a
+    2-worker pool does not oversubscribe the host with BLAS threads."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_openblas(self):
+        if not _blas_threads()[1]:
+            pytest.skip("no OpenBLAS library loaded")
+
+    def _assert_capped(self, executor):
+        budget = max(1, len(os.sched_getaffinity(0)) // 2)  # one worker's CPU share
+        for pid, counts in executor.map_blocks(_blas_threads, [0, 1]):
+            assert pid != os.getpid()  # measured inside a pool worker
+            assert counts and max(counts) <= budget, (counts, budget)
+
+    def test_persistent_pool_workers_are_capped(self):
+        with EnsembleExecutor(n_workers=2) as executor:
+            self._assert_capped(executor)
+
+    def test_per_call_pool_workers_are_capped(self):
+        with EnsembleExecutor(n_workers=2, reuse_pool=False) as executor:
+            self._assert_capped(executor)
+
+    def test_pool_rebuilt_after_worker_crash_is_capped(self):
+        plan = FaultPlan.from_spec("worker-crash@executor:0")
+        with EnsembleExecutor(
+            n_workers=2, retry_backoff_s=0.0, fault_plan=plan
+        ) as executor:
+            self._assert_capped(executor)  # the crashed shard reran on the new pool
+            assert executor.fault_log.count(action="pool-rebuild") == 1
+            self._assert_capped(executor)
+
+    def test_cap_without_openblas_is_a_silent_noop(self, monkeypatch):
+        before = _blas_threads()[1]
+        monkeypatch.setattr(ensemble_parallel, "_openblas_libraries", lambda: [])
+        assert ensemble_parallel._cap_blas_threads(2) is None
+        monkeypatch.setattr(
+            ensemble_parallel, "_openblas_libraries", lambda: ["/nonexistent/libopenblas.so"]
+        )
+        assert ensemble_parallel._cap_blas_threads(2) is None
+        monkeypatch.undo()
+        assert _blas_threads()[1] == before  # the parent was left alone
 
 
 # Module-level worker functions: pool workers resolve them by reference.
